@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.ablations import acf_hill_valid
-from repro.core.acf import classic_acf
+from repro.core.acf import acf_hill_valid, classic_acf
 from repro.core.huber_periodogram import ordinary_periodogram
 from repro.core.preprocess import detrend_normalize
 

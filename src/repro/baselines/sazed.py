@@ -55,6 +55,10 @@ def _zero_crossing_estimate(x: np.ndarray) -> int:
 
 def sazed_components(x: np.ndarray) -> list[int]:
     """The six base estimates on the (detrended, normalized) series."""
+    if not x.any():
+        # A flat series normalizes to all zeros: its ACF is NaN, and the
+        # argmax estimates would land on the lowest lag searched.
+        return []
     a = classic_acf(x, unbiased=False)
     ests = [
         _spectral_estimate(x),

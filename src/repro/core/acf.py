@@ -1,5 +1,6 @@
 """Autocorrelation machinery: classic ACF, Huber-ACF via Wiener–Khinchin
-(Eq. 13), peak detection, and the Huber-ACF-Med period validation.
+(Eq. 13), peak detection, the Huber-ACF-Med period validation, and the
+AUTOPERIOD ACF-hill validation shared by that baseline and an ablation.
 
 Huber-ACF: the level series is zero-padded to N' = 2N *before* the
 periodogram, so the inverse DFT of the full-range (mirrored) periodogram
@@ -100,6 +101,28 @@ def resolution_interval(k: int, n_prime: int) -> tuple[float, float]:
     lo = 0.5 * (n_prime / (k + 1) + n_prime / k) - 2.0
     hi = (0.5 * (n_prime / k + n_prime / (k - 1)) + 2.0) if k > 1 else float(n_prime)
     return lo, hi
+
+
+def acf_hill_valid(acf_vals: np.ndarray, k: int, n_prime: int
+                   ) -> tuple[bool, int]:
+    """AUTOPERIOD validation: the candidate from periodogram index ``k``
+    is kept iff the ACF has an interior local maximum ("hill") inside the
+    candidate's resolution interval R_k; the refined period is that peak.
+    """
+    n = acf_vals.size
+    lo, hi = resolution_interval(k, n_prime)
+    lo_i = max(2, int(np.floor(lo)))
+    hi_i = min(n - 2, int(np.ceil(hi)))
+    if hi_i - lo_i < 2:
+        return False, 0
+    seg = acf_vals[lo_i:hi_i + 1]
+    t_rel = int(np.argmax(seg))
+    t = lo_i + t_rel
+    interior = 0 < t_rel < (hi_i - lo_i)
+    if interior and acf_vals[t] > 0 and acf_vals[t] > acf_vals[lo_i] \
+            and acf_vals[t] > acf_vals[hi_i]:
+        return True, t
+    return False, 0
 
 
 def acf_med_period(acf_vals: np.ndarray, k_star: int, n: int,

@@ -32,6 +32,19 @@ def interpolate_missing(y: np.ndarray) -> np.ndarray:
     return y
 
 
+def _interpolate_detrend(y: np.ndarray, lamb: float | None,
+                         detrend: bool) -> tuple[np.ndarray, float]:
+    """Interpolate NaNs and HP-detrend; also return the scale floor below
+    which the normalized series is taken to be all zeros."""
+    y = interpolate_missing(y)
+    # Relative floor: a numerically-flat series (HP residual of a constant)
+    # must map to zeros, not to amplified float noise.
+    tiny = 1e-8 * max(1.0, float(np.max(np.abs(y)) if y.size else 0.0))
+    if detrend and y.size >= 8:
+        y = y - hp_filter(y, lamb)
+    return y, tiny
+
+
 def detrend_normalize(y: np.ndarray, *, lamb: float | None = None) -> np.ndarray:
     """HP-detrend + z-normalize, **without** the robust ψ-clip.
 
@@ -39,10 +52,7 @@ def detrend_normalize(y: np.ndarray, *, lamb: float | None = None) -> np.ndarray
     comparison (§4.1.1); the robust clipping is RobustPeriod's own
     preprocessing, so baselines get this variant.
     """
-    y = interpolate_missing(y)
-    tiny = 1e-8 * max(1.0, float(np.max(np.abs(y)) if y.size else 0.0))
-    if y.size >= 8:
-        y = y - hp_filter(y, lamb)
+    y, tiny = _interpolate_detrend(y, lamb, detrend=True)
     s = float(np.std(y))
     return (y - float(np.mean(y))) / s if s > tiny else np.zeros_like(y)
 
@@ -50,12 +60,7 @@ def detrend_normalize(y: np.ndarray, *, lamb: float | None = None) -> np.ndarray
 def preprocess(y: np.ndarray, *, lamb: float | None = None,
                c: float = 3.0, detrend: bool = True) -> np.ndarray:
     """Normalized, detrended, outlier-clipped series y' of §3.2."""
-    y = interpolate_missing(y)
-    # Relative floor: a numerically-flat series (HP residual of a constant)
-    # must map to zeros, not to amplified float noise.
-    tiny = 1e-8 * max(1.0, float(np.max(np.abs(y)) if y.size else 0.0))
-    if detrend and y.size >= 8:
-        y = y - hp_filter(y, lamb)
+    y, tiny = _interpolate_detrend(y, lamb, detrend)
     mu = median(y)
     s = mad(y, center=mu)
     if s <= tiny or not np.isfinite(s):

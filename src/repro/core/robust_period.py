@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acf import acf_med_period, huber_acf
+from .acf import acf_med_period, classic_acf, huber_acf
 from .fisher import fisher_test
 from .huber_periodogram import huber_periodogram, ordinary_periodogram
 from .preprocess import preprocess
@@ -126,7 +126,6 @@ def detect_full(
         if use_huber_acf:
             a = huber_acf(P, n)
         else:
-            from .acf import classic_acf
             a = classic_acf(w)
         period = acf_med_period(a, k_star, n)
         lev.period = period

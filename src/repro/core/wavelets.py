@@ -108,6 +108,21 @@ def max_usable_level(n: int, wavelet: str = "db2", requested: int = 8) -> int:
     return max(1, min(requested, j))
 
 
+def _filter_pair(v: np.ndarray, h: np.ndarray, g: np.ndarray,
+                 t: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """Circular two-channel filter of ``v`` evaluated at the indices ``t``:
+    ``(Σ_l h_l v[(t − shift·l) mod N], Σ_l g_l v[(t − shift·l) mod N])``,
+    the wavelet and scaling outputs of one pyramid step."""
+    n = v.size
+    hi = np.zeros(t.size)
+    lo = np.zeros(t.size)
+    for l in range(g.size):
+        vl = v[(t - shift * l) % n]
+        hi += h[l] * vl
+        lo += g[l] * vl
+    return hi, lo
+
+
 def modwt(x: np.ndarray, wavelet: str = "db2", level: int = 8):
     """Maximal-overlap DWT (circular, pyramid algorithm).
 
@@ -120,21 +135,11 @@ def modwt(x: np.ndarray, wavelet: str = "db2", level: int = 8):
     p = _parse_wavelet(wavelet)
     g = daubechies_scaling(p) / _SQRT2
     h = daubechies_wavelet(p) / _SQRT2
-    L = g.size
     W = np.empty((level, n))
     v = x.copy()
     t = np.arange(n)
     for j in range(1, level + 1):
-        stride = 2 ** (j - 1)
-        wj = np.zeros(n)
-        vj = np.zeros(n)
-        for l in range(L):
-            idx = (t - stride * l) % n
-            vl = v[idx]
-            wj += h[l] * vl
-            vj += g[l] * vl
-        W[j - 1] = wj
-        v = vj
+        W[j - 1], v = _filter_pair(v, h, g, t, 2 ** (j - 1))
     return W, v
 
 
@@ -149,22 +154,12 @@ def dwt(x: np.ndarray, wavelet: str = "db2", level: int = 4):
     p = _parse_wavelet(wavelet)
     g = daubechies_scaling(p)
     h = daubechies_wavelet(p)
-    L = g.size
     n = (x.size // 2**level) * 2**level
     v = x[:n].copy()
     details = []
     for _ in range(level):
-        m = v.size
-        t2 = 2 * np.arange(m // 2) + 1
-        d = np.zeros(m // 2)
-        a = np.zeros(m // 2)
-        for l in range(L):
-            idx = (t2 - l) % m
-            vl = v[idx]
-            d += h[l] * vl
-            a += g[l] * vl
+        d, v = _filter_pair(v, h, g, 2 * np.arange(v.size // 2) + 1, 1)
         details.append(d)
-        v = a
     return details, v
 
 

@@ -1,14 +1,21 @@
 """One runner per evaluation table (paper §4).  Each returns a pandas
-DataFrame shaped like the paper's table; ``jobs/tableN.py`` wraps these
-for spark-submit, ``benchmarks/`` times them, and EXPERIMENTS.md records
+DataFrame shaped like the paper's table; EXPERIMENTS.md records
 paper-vs-measured numbers.
 
-``n_series`` trades fidelity for compute (the paper uses 1000 series per
-config; see DESIGN.md §5).
+Run one table, or all of them, from the command line::
+
+    python -m repro.experiments.tables {table1,…,table6,table78,all} [n_series]
+
+Each table prints under a ``########## TABLEN (Ss) ##########`` header,
+the format of ``experiments_full.log``, so that record can be regenerated
+and diffed.  ``n_series`` trades fidelity for compute (the paper uses 1000
+series per config; see DESIGN.md §5); each runner has its own default.
 """
 from __future__ import annotations
 
+import argparse
 import json
+import time
 
 import numpy as np
 import pandas as pd
@@ -167,3 +174,36 @@ def table78(spark: SparkSession, *, n_series: int = 30, seed: int = 0,
                                       values="f1").round(3)
     det.unpersist()
     return timing, f1
+
+
+_RUNNERS = {"table1": table1, "table2": table2, "table3": table3,
+            "table4": table4, "table5": table5, "table6": table6,
+            "table78": table78}
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Print the requested table(s); the session is left running."""
+    ap = argparse.ArgumentParser(prog="python -m repro.experiments.tables")
+    ap.add_argument("table", choices=[*_RUNNERS, "all"])
+    ap.add_argument("n_series", type=int, nargs="?")
+    args = ap.parse_args(argv)
+    spark = (SparkSession.builder.appName(args.table)
+             .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+             .config("spark.sql.autoBroadcastJoinThreshold", -1)
+             .config("spark.ui.showConsoleProgress", "false")
+             .getOrCreate())
+    names = list(_RUNNERS) if args.table == "all" else [args.table]
+    for name in names:
+        # table4 runs the fixed six cloud series: it takes no n_series.
+        kw = ({} if args.n_series is None or name == "table4"
+              else {"n_series": args.n_series})
+        t0 = time.perf_counter()
+        out = _RUNNERS[name](spark, **kw)
+        secs = time.perf_counter() - t0
+        print(f"\n########## {name.upper()} ({secs:.0f}s) ##########")
+        frames = out if isinstance(out, tuple) else (out,)
+        print("\n\n".join(f.to_string() for f in frames), flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -8,8 +8,8 @@ to an Arrow-backed task that runs every requested algorithm and emits
 one row per (series, algorithm) with the detected periods (JSON) and the
 wall-clock time — the timing column feeds Table 7.
 
-All algorithms are exposed through one registry so jobs/tests select
-them by name.
+All algorithms are exposed through one registry so table runners and
+tests select them by name.
 """
 from __future__ import annotations
 

@@ -1,5 +1,7 @@
 """Smoke tests: every table runner produces a sanely-shaped result on a
-tiny workload.  Full-size runs live in benchmarks/ and EXPERIMENTS.md."""
+tiny workload, and the command-line entry point prints a table.  Full-size
+runs are ``python -m repro.experiments.tables all``; EXPERIMENTS.md records
+them."""
 import pandas as pd
 import pytest
 
@@ -51,6 +53,17 @@ class TestTable4:
         assert len(t4) == 6 * 4  # 6 cloud series × 4 algorithms
         rp = t4[t4.algo == "robust_period"]
         assert len(rp) == 6
+
+
+class TestMain:
+    def test_prints_table4(self, spark, capsys):
+        tables.main(["table4"])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0].startswith("########## TABLE4 (")
+        assert lines[0].endswith("s) ##########")
+        rows = lines[2:]  # below the column header
+        assert len(rows) == 24
+        assert [int(r.split()[0]) for r in rows] == list(range(24))
 
 
 class TestTable5:
