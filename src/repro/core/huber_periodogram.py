@@ -33,33 +33,56 @@ def ordinary_periodogram(x: np.ndarray) -> np.ndarray:
     return (X.real**2 + X.imag**2) / x.size
 
 
-def _irls_chunk(x: np.ndarray, ks: np.ndarray, zeta: float,
+def _trig(table: np.ndarray, ks: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``[cos, sin](2πkt/N')`` for every ``(k, t)``, shape 2×K×T, read from
+    the length-N' ``table`` at ``(k·t) mod N'`` (no per-element ``np.cos``)."""
+    kt = np.outer(ks, t)
+    kt %= table.shape[1]
+    return np.take(table, kt, axis=1)
+
+
+def _irls_chunk(x: np.ndarray, ks: np.ndarray, a: np.ndarray, b: np.ndarray,
+                table: np.ndarray, tail_gram: np.ndarray, zeta: float,
                 loss: str, max_iter: int, tol: float) -> np.ndarray:
     """Solve the M-periodogram for a chunk of frequency indices.
 
-    Returns ||β̂(k)||² per k.  ``loss`` is 'huber' or 'lad'.
+    Returns ||β̂(k)||² per k.  ``loss`` is 'huber' or 'lad'.  ``x`` is the
+    real prefix of the series: every sample from ``x.size`` up to N' is 0.
+    ``(a, b)`` is the OLS start and ``tail_gram`` (3×K) the zero tail's
+    Σcos², Σcos·sin, Σsin².  The tail adds nothing to the right-hand side,
+    and while ``hypot(a, b) ≤ ζ`` its residuals ``|a·cos + b·sin| ≤ ζ`` all
+    get Huber weight 1, so its Gram terms are exactly ``tail_gram``.  Only
+    the other rows (all rows for LAD) weight the tail explicitly.
     """
-    n = x.size
-    t = np.arange(n)
-    ang = 2.0 * np.pi * np.outer(ks, t) / n      # K×N
-    C = np.cos(ang)
-    S = np.sin(ang)
-    # OLS init (exact at Fourier frequencies).
-    a = 2.0 / n * (C @ x)
-    b = 2.0 / n * (S @ x)
+    n = table.shape[1]
+    m = x.size
+    t_tail = np.arange(m, n)
+    C, S = _trig(table, ks, np.arange(m))      # K×m
     for _ in range(max_iter):
-        r = a[:, None] * C + b[:, None] * S - x[None, :]
+        # The margin covers rounding in a·cos + b·sin.
+        explicit = (np.hypot(a, b) > zeta * (1.0 - 1e-9) if loss == "huber"
+                    else np.ones(ks.size, dtype=bool))
+        e = np.flatnonzero(explicit)
+        Ce, Se = _trig(table, ks[e], t_tail)    # E×(N'−m)
+        # Residuals of the prefix and of the explicit tail rows share one
+        # buffer, so one weight call covers both.
+        r = np.empty(C.size + Ce.size)
+        rp = r[:C.size].reshape(C.shape)
+        np.multiply(a[:, None], C, out=rp)
+        rp += b[:, None] * S
+        rp -= x
+        np.add(a[e, None] * Ce, b[e, None] * Se,
+               out=r[C.size:].reshape(Ce.shape))
         if loss == "huber":
             w = huber_weights(r, zeta)
         else:  # LAD: w = 1/|r| with guard
-            absr = np.abs(r)
-            w = 1.0 / np.maximum(absr, 1e-8)
-        wc = w * C
-        Scc = np.einsum("kt,kt->k", wc, C)
-        Scs = np.einsum("kt,kt->k", wc, S)
-        Sss = np.einsum("kt,kt->k", w * S, S)
-        Scx = wc @ x
-        Ssx = (w * S) @ x
+            w = 1.0 / np.maximum(np.abs(r), 1e-8)
+        wC, wS, gram = _weighted_gram(w[:C.size].reshape(C.shape), C, S)
+        gram += np.where(explicit, 0.0, tail_gram)
+        gram[:, e] += _weighted_gram(w[C.size:].reshape(Ce.shape), Ce, Se)[2]
+        Scc, Scs, Sss = gram
+        Scx = wC @ x
+        Ssx = wS @ x
         det = Scc * Sss - Scs**2
         ok = det > 1e-12
         a_new = np.where(ok, (Sss * Scx - Scs * Ssx) / np.where(ok, det, 1.0), a)
@@ -69,6 +92,15 @@ def _irls_chunk(x: np.ndarray, ks: np.ndarray, zeta: float,
         if delta < tol:
             break
     return a**2 + b**2
+
+
+def _weighted_gram(w: np.ndarray, C: np.ndarray, S: np.ndarray):
+    """``(w·C, w·S, [Σw·cos², Σw·cos·sin, Σw·sin²])`` per row."""
+    wC = w * C
+    wS = w * S
+    return wC, wS, np.stack([np.einsum("kt,kt->k", wC, C),
+                             np.einsum("kt,kt->k", wC, S),
+                             np.einsum("kt,kt->k", wS, S)])
 
 
 def m_periodogram(x: np.ndarray, *, loss: str = "huber",
@@ -89,25 +121,42 @@ def m_periodogram(x: np.ndarray, *, loss: str = "huber",
     series collapses the MAD (≥50% exact zeros), which turns the Huber fit
     into a LAD fit that a majority of zeros pulls to β=0, crushing genuine
     spectral peaks.
+
+    The IRLS runs over ``t < m`` only, ``m`` one past the last nonzero
+    sample: the zero tail enters through its Gram terms, read for every
+    ``k`` from one FFT of the tail indicator at bin ``2k``.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
     nyq = n // 2
-    P = ordinary_periodogram(x)
+    X = np.fft.rfft(x)
+    P = (X.real**2 + X.imag**2) / n
     sig = robust_scale(x[: n_data if n_data else n])
     if sig <= 0 or not np.isfinite(sig):
         return P
-    xn = x / sig
     lo, hi = (1, nyq) if exact_band is None else exact_band
     lo = max(1, int(lo))
     hi = min(nyq - 1 if n % 2 == 0 else nyq, int(hi))
     if hi < lo:
         return P
     ks = np.arange(lo, hi + 1)
+    m = np.flatnonzero(x)[-1] + 1   # x has a nonzero sample, as sig > 0
+    xn = x[:m] / sig
+    # OLS start (exact at Fourier frequencies): (2/N')·(Re X_k, −Im X_k).
+    a0 = (2.0 / n) * X.real[ks] / sig
+    b0 = (-2.0 / n) * X.imag[ks] / sig
+    ang = 2.0 * np.pi * np.arange(n) / n
+    table = np.stack([np.cos(ang), np.sin(ang)])
+    # cos² = (1 + cos 2θ)/2, cos·sin = sin 2θ/2, sin² = (1 − cos 2θ)/2.
+    indicator = np.zeros(n)
+    indicator[m:] = 1.0
+    F = np.fft.fft(indicator)[(2 * ks) % n]
+    tail_gram = 0.5 * np.stack([(n - m) + F.real, -F.imag, (n - m) - F.real])
     beta2 = np.empty(ks.size)
     for s in range(0, ks.size, chunk):
-        sub = ks[s:s + chunk]
-        beta2[s:s + chunk] = _irls_chunk(xn, sub, zeta, loss, max_iter, tol)
+        sl = slice(s, s + chunk)
+        beta2[sl] = _irls_chunk(xn, ks[sl], a0[sl], b0[sl], table,
+                                tail_gram[:, sl], zeta, loss, max_iter, tol)
     P[ks] = (n / 4.0) * beta2 * sig**2
     return P
 

@@ -78,12 +78,10 @@ def huber_weights(r: np.ndarray, zeta: float) -> np.ndarray:
     """IRLS weights for the Huber loss: 1 inside ``|r| ≤ ζ``, ``ζ/|r|`` outside.
 
     Minimizing Σ γ_ζ(r_t) by IRLS repeatedly solves the weighted LS problem
-    with these weights; this is the standard ψ(r)/r weight function.
+    with these weights; this is the standard ψ(r)/r weight function.  A NaN
+    residual gets weight 1 and an infinite one weight 0.
     """
-    a = np.abs(r)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(a <= zeta, 1.0, zeta / a)
-    return np.where(np.isfinite(w), w, 1.0)
+    return zeta / np.fmax(np.abs(r), zeta)
 
 
 def psi_clip(x: np.ndarray, c: float) -> np.ndarray:

@@ -84,6 +84,34 @@ class TestHPFilter:
         assert hp_filter(y).mean() == pytest.approx(y.mean(), abs=0.05)
 
 
+class TestFactorCache:
+    @staticmethod
+    def _uncached(y, lamb):
+        n = y.size
+        c = 2.0 * lamb
+        d0 = np.full(n, 1.0 + 6.0 * c)
+        d0[0] = d0[-1] = 1.0 + c
+        d0[1] = d0[-2] = 1.0 + 5.0 * c
+        d1 = np.full(n - 1, -4.0 * c)
+        d1[0] = d1[-1] = -2.0 * c
+        return _solve_pentadiagonal(d0, d1, np.full(n - 2, c), y)
+
+    def test_repeated_length_matches_uncached(self):
+        rng = np.random.default_rng(4)
+        n = 300
+        lamb = hp_lambda_for_cutoff(n / 2.0)
+        for _ in range(3):
+            y = rng.normal(0, 1, n).cumsum()
+            assert np.array_equal(hp_filter(y), self._uncached(y, lamb))
+
+    def test_returned_array_is_fresh(self):
+        y = np.random.default_rng(5).normal(0, 1, 120)
+        first = hp_filter(y, 50.0)
+        expected = first.copy()
+        first[:] = np.nan
+        assert np.array_equal(hp_filter(y, 50.0), expected)
+
+
 class TestLambdaCutoff:
     def test_monotone_in_cutoff(self):
         assert hp_lambda_for_cutoff(100) < hp_lambda_for_cutoff(200) \

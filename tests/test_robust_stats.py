@@ -106,6 +106,20 @@ class TestHuberWeights:
         w = huber_weights(rng.normal(0, 100, 1000), 1.345)
         assert np.all((0 < w) & (w <= 1.0))
 
+    def test_at_threshold_exactly_one(self):
+        # The Huber periodogram's zero tail relies on weight exactly 1
+        # for every |r| ≤ ζ, including |r| = ζ.
+        zeta = 1.345
+        r = np.array([-zeta, -np.nextafter(zeta, 0), 0.0, 1e-300, zeta])
+        assert np.all(huber_weights(r, zeta) == 1.0)
+
+    def test_nan_residual_weight_one(self):
+        assert huber_weights(np.array([np.nan]), 1.345)[0] == 1.0
+
+    def test_infinite_residual_weight_zero(self):
+        w = huber_weights(np.array([np.inf, -np.inf]), 1.345)
+        assert np.all(w == 0.0)
+
 
 class TestPsiClip:
     def test_clips_to_c(self):
